@@ -128,6 +128,17 @@ class WindowedRate(Generic[K]):
         self._counts[key] = self._counts.get(key, 0) + count
         return closed
 
+    def open_window(self) -> Optional[Tuple[int, Dict[K, int]]]:
+        """(window_start, counts) of the in-progress window, or None.
+
+        The counts dict is live: a caller may count into it directly
+        for timestamps before ``window_start + window_ns``, where
+        :meth:`add` would close nothing.
+        """
+        if self._current_start is None:
+            return None
+        return self._current_start, self._counts
+
     def flush(self):
         """Close the in-progress window (end of stream)."""
         if self._current_start is None:

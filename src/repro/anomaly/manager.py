@@ -62,10 +62,12 @@ class AnomalyManager:
 
     def observe_packet(self, packet: ParsedPacket) -> None:
         """Feed one parsed packet to the packet detectors."""
-        before = len(self.syn_flood.events)
+        events = self.syn_flood.events
+        before = len(events)
         self.syn_flood.on_packet(packet)
-        for event in self.syn_flood.events[before:]:
-            self._alert(event)
+        if len(events) > before:
+            for event in events[before:]:
+                self._alert(event)
 
     def _alert(self, event: AnomalyEvent) -> None:
         self.alerts_raised += 1

@@ -56,6 +56,11 @@ class SynFloodDetector:
         self._open: Dict[TargetKey, AnomalyEvent] = {}
         self.events: List[AnomalyEvent] = []
         self.packets_seen = 0
+        # While both counters share one open window, packets before
+        # ``_same_window_until_ns`` are counted straight into its dicts.
+        self._same_window_until_ns: Optional[int] = None
+        self._syn_counts: Dict[TargetKey, int] = {}
+        self._ack_counts: Dict[TargetKey, int] = {}
 
     def _target_of(self, packet: ParsedPacket) -> TargetKey:
         if packet.is_ipv6:
@@ -67,24 +72,46 @@ class SynFloodDetector:
     def on_packet(self, packet: ParsedPacket) -> None:
         """Observer entry point: feed every parsed TCP packet."""
         self.packets_seen += 1
-        target = self._target_of(packet)
-        if packet.is_syn:
-            closed_acks = self._acks.add(target, packet.timestamp_ns, count=0)
-            if closed_acks is not None:
-                self._closed_ack_window = closed_acks
-            closed_syns = self._syns.add(target, packet.timestamp_ns)
-            if closed_syns is not None:
-                self._evaluate(closed_syns)
-        elif packet.is_ack:
+        handshake_bits = packet.flags & 0x12
+        if handshake_bits == 0x02:  # SYN
+            syns, acks = 1, 0
+        elif handshake_bits == 0x10:  # ACK
             # ACKs toward the flooded target approximate handshakes the
             # target's clients actually completed; a flood of spoofed
             # SYNs produces none.
-            closed_acks = self._acks.add(target, packet.timestamp_ns, count=1)
-            if closed_acks is not None:
-                self._closed_ack_window = closed_acks
-            closed_syns = self._syns.add(target, packet.timestamp_ns, count=0)
-            if closed_syns is not None:
-                self._evaluate(closed_syns)
+            syns, acks = 0, 1
+        else:
+            return
+        target = self._target_of(packet)
+        timestamp_ns = packet.timestamp_ns
+        until_ns = self._same_window_until_ns
+        if until_ns is not None and timestamp_ns < until_ns:
+            # Same window for both counters: nothing can close, so
+            # count directly (the zero keeps the target in both windows,
+            # exactly as add(count=0) would).
+            syn_counts = self._syn_counts
+            syn_counts[target] = syn_counts.get(target, 0) + syns
+            ack_counts = self._ack_counts
+            ack_counts[target] = ack_counts.get(target, 0) + acks
+            return
+        closed_acks = self._acks.add(target, timestamp_ns, count=acks)
+        if closed_acks is not None:
+            self._closed_ack_window = closed_acks
+        closed_syns = self._syns.add(target, timestamp_ns, count=syns)
+        if closed_syns is not None:
+            self._evaluate(closed_syns)
+        self._track_open_window()
+
+    def _track_open_window(self) -> None:
+        """Re-arm the direct-count path after the counters changed."""
+        syn_window = self._syns.open_window()
+        ack_window = self._acks.open_window()
+        if syn_window is None or ack_window is None or syn_window[0] != ack_window[0]:
+            self._same_window_until_ns = None
+            return
+        self._same_window_until_ns = syn_window[0] + self._syns.window_ns
+        self._syn_counts = syn_window[1]
+        self._ack_counts = ack_window[1]
 
     def _evaluate(self, closed_syns) -> None:
         window_start, syn_counts = closed_syns
@@ -136,6 +163,7 @@ class SynFloodDetector:
         closed_syns = self._syns.flush()
         if closed_syns is not None:
             self._evaluate(closed_syns)
+        self._track_open_window()
         for target, event in list(self._open.items()):
             if event.is_open and now_ns is not None:
                 event.close(now_ns)
@@ -163,3 +191,4 @@ class SynFloodDetector:
         self.packets_seen = int(state["packets_seen"])
         self._closed_ack_window = None
         self._open.clear()
+        self._track_open_window()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 FlowKey = Tuple[int, int, int, int, bool]
@@ -175,13 +175,22 @@ class HandshakeTable:
             },
             "entries": [
                 {
+                    # Explicit rows, in FlowEntry field order: asdict's
+                    # deep copy cost ~90% of a checkpoint under a flood.
                     "key": list(key),
                     "state": entry.state.value,
-                    **{
-                        name: value
-                        for name, value in asdict(entry).items()
-                        if name != "state"
-                    },
+                    "orig_ip": entry.orig_ip,
+                    "orig_port": entry.orig_port,
+                    "resp_ip": entry.resp_ip,
+                    "resp_port": entry.resp_port,
+                    "is_ipv6": entry.is_ipv6,
+                    "syn_ns": entry.syn_ns,
+                    "syn_seq": entry.syn_seq,
+                    "rss_hash": entry.rss_hash,
+                    "synack_ns": entry.synack_ns,
+                    "synack_seq": entry.synack_seq,
+                    "syn_retransmits": entry.syn_retransmits,
+                    "synack_retransmits": entry.synack_retransmits,
                 }
                 for key, entry in self._entries.items()
             ],

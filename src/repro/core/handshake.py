@@ -37,6 +37,12 @@ from repro.net.parser import ParsedPacket
 
 _SEQ_MOD = 1 << 32
 
+# TCP flag bits the state machine dispatches on.
+_RST = 0x04
+_SYN = 0x02
+_ACK = 0x10
+_SYN_ACK = _SYN | _ACK
+
 MeasurementSink = Callable[[LatencyRecord], None]
 
 
@@ -72,17 +78,17 @@ class HandshakeTracker:
     def process(self, packet: ParsedPacket, rss_hash: int = 0) -> Optional[LatencyRecord]:
         """Feed one parsed TCP packet; returns a record if one completed."""
         self.stats.packets += 1
-        if packet.is_rst:
+        flags = packet.flags
+        if flags & _RST:
             self._on_rst(packet)
             return None
-        if packet.is_syn:
-            self._on_syn(packet, rss_hash)
-            return None
-        if packet.is_synack:
-            self._on_synack(packet)
-            return None
-        if packet.is_ack:
+        handshake_bits = flags & _SYN_ACK
+        if handshake_bits == _ACK:
             return self._on_ack(packet)
+        if handshake_bits == _SYN:
+            self._on_syn(packet, rss_hash)
+        elif handshake_bits == _SYN_ACK:
+            self._on_synack(packet)
         return None
 
     def sweep_due(self, now_ns: int) -> bool:

@@ -17,7 +17,7 @@ hardware.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.core.config import PipelineConfig
 from repro.core.handshake import MeasurementSink
@@ -56,6 +56,10 @@ class RuruPipeline:
             given, the NIC runs its priority triage on every frame and
             frames shed by policy are counted as ``packets_shed``
             instead of ``nic_drops``.
+
+    Frames enter through :meth:`offer_burst` (``offer`` is a burst of
+    one), which hands the whole burst to
+    :meth:`NicPort.receive_burst <repro.dpdk.nic.NicPort.receive_burst>`.
     """
 
     def __init__(
@@ -93,6 +97,7 @@ class RuruPipeline:
             mbuf_pool=pool,
             queue_capacity=self.config.queue_capacity,
             admission=admission,
+            tracer=tracer,
         )
         self.eal = Eal()
         self.supervisor = supervisor
@@ -122,19 +127,32 @@ class RuruPipeline:
 
     def offer(self, packet: Packet) -> bool:
         """Offer one frame to the NIC; False if the NIC dropped it."""
+        return self.offer_burst((packet,)) == 1
+
+    def offer_burst(self, packets: Sequence[Packet]) -> int:
+        """Offer a burst of frames to the NIC; returns how many it queued.
+
+        Every frame is counted exactly once: rejected while quiesced,
+        queued, shed by the admission controller, or dropped by the NIC
+        (ring full, pool empty). The virtual clock ends at the burst's
+        latest capture time.
+        """
+        if not packets:
+            return 0
+        stats = self.stats
         if self.quiesced:
-            self.stats.packets_rejected_quiesced += 1
-            return False
-        self.stats.packets_offered += 1
-        self.clock.advance_to(packet.timestamp_ns)
-        if self.nic.receive(packet):
-            self.stats.packets_queued += 1
-            return True
-        if self.admission is not None and self.admission.take_nic_shed():
-            self.stats.packets_shed += 1
-        else:
-            self.stats.nic_drops += 1
-        return False
+            stats.packets_rejected_quiesced += len(packets)
+            return 0
+        nic = self.nic
+        shed_before = nic.shed
+        queued = nic.receive_burst(packets)
+        shed = nic.shed - shed_before
+        stats.packets_offered += len(packets)
+        stats.packets_queued += queued
+        stats.packets_shed += shed
+        stats.nic_drops += len(packets) - queued - shed
+        self.clock.advance_to(max(packet.timestamp_ns for packet in packets))
+        return queued
 
     def quiesce(self) -> None:
         """Stop accepting frames at the NIC (step one of graceful drain).
@@ -199,14 +217,12 @@ class RuruPipeline:
             self.admission.update(self.clock.now_ns)
         telemetry = self.telemetry
         if telemetry is None:
-            for packet in batch:
-                self.offer(packet)
+            self.offer_burst(batch)
             self.drain()
             return
         tracer = telemetry.tracer
         with tracer.span("nic.receive", batch=len(batch)):
-            for packet in batch:
-                self.offer(packet)
+            self.offer_burst(batch)
         with tracer.span("pipeline.drain"):
             self.drain()
         telemetry.tick(self.clock.now_ns)

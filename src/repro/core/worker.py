@@ -2,10 +2,11 @@
 
 Ruru allocates "different DPDK processing threads … on separate CPU
 cores", one per receive queue. A :class:`QueueWorker` is that thread's
-body: poll the queue for a burst of mbufs, fast-parse each frame, feed
-the handshake tracker, free the mbuf, and periodically sweep the flow
-table. Emitted measurements go to the worker's sink — in the full
-pipeline, a ZeroMQ-style PUSH socket.
+body: poll the queue for a burst of mbufs, feed each frame's decode —
+done once, at the NIC, and carried on the mbuf — to the handshake
+tracker, free the mbuf, and periodically sweep the flow table. Emitted
+measurements go to the worker's sink — in the full pipeline, a
+ZeroMQ-style PUSH socket.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class QueueWorker:
         self.nic = nic
         self.queue_id = queue_id
         self.config = config or PipelineConfig()
+        # Unused by the poll loop: frames arrive decoded by the NIC
+        # (Mbuf.decoded). perfbench/tracing.py still wraps
+        # ``worker.parser.parse``; drop this together with that wrap.
         self.parser = PacketParser()
         self.tracker = HandshakeTracker(
             config=self.config, queue_id=queue_id, sink=sink
@@ -49,8 +53,6 @@ class QueueWorker:
         self.packets_processed = 0
         self.packets_sampled_out = 0
         self._latest_ns = 0
-        self._polls = 0
-        self._trace_packets = False
 
     def poll(self) -> int:
         """One poll iteration: process up to one burst; returns count.
@@ -62,22 +64,14 @@ class QueueWorker:
             return 0
         tracer = self.tracer
         if tracer is None:
-            for mbuf in mbufs:
-                self._process_mbuf(mbuf)
-                mbuf.free()
+            self._process_burst(mbufs)
             self.tracker.maybe_sweep(self._latest_ns)
             return len(mbufs)
-        # Per-packet parse/track spans are sampled: every Nth non-empty
-        # poll (N = tracer.detail_sample) traces at packet granularity,
-        # the rest stay at burst granularity. Sampling by poll count is
-        # deterministic, so replayed traces are still reproducible.
-        self._polls += 1
-        detail = tracer.detail_sample
-        self._trace_packets = bool(detail) and self._polls % detail == 1 % detail
+        # Burst granularity only: the per-frame span a decoded frame
+        # earns is the NIC's sampled ``nic.decode``; tracking is all the
+        # worker does per frame, and this span brackets exactly that.
         with tracer.span("worker.poll", queue=self.queue_id, burst=len(mbufs)):
-            for mbuf in mbufs:
-                self._process_mbuf(mbuf)
-                mbuf.free()
+            self._process_burst(mbufs)
             # Only an actual sweep earns a span; the interval check
             # itself is too cheap to be worth recording every poll.
             if self.tracker.sweep_due(self._latest_ns):
@@ -87,38 +81,34 @@ class QueueWorker:
                 self.tracker.maybe_sweep(self._latest_ns)
         return len(mbufs)
 
-    def _process_mbuf(self, mbuf) -> None:
-        self.packets_processed += 1
-        if mbuf.timestamp_ns > self._latest_ns:
-            self._latest_ns = mbuf.timestamp_ns
-        # Flow sampling: the symmetric RSS hash selects whole flows
-        # (both directions share the hash), so a sampled-out flow
-        # never costs a parse, let alone tracker state.
+    def _process_burst(self, mbufs) -> None:
+        """Track every frame of one burst, then free its mbufs."""
         modulus = self.config.flow_sample_modulus
-        if modulus > 1 and mbuf.rss_hash % modulus:
-            self.packets_sampled_out += 1
-            return
-        tracer = self.tracer if self._trace_packets else None
-        if tracer is None:
-            try:
-                parsed = self.parser.parse(mbuf.data, mbuf.timestamp_ns)
-            except ParseError as exc:
-                if self.pipeline_stats is not None:
-                    self.pipeline_stats.record_parse_error(exc.reason)
-                return
-            self.tracker.process(parsed, rss_hash=mbuf.rss_hash)
-        else:
-            with tracer.span("worker.parse", queue=self.queue_id):
-                try:
-                    parsed = self.parser.parse(mbuf.data, mbuf.timestamp_ns)
-                except ParseError as exc:
+        process = self.tracker.process
+        observers = self.observers
+        latest_ns = self._latest_ns
+        sampled_out = 0
+        for mbuf in mbufs:
+            if mbuf.timestamp_ns > latest_ns:
+                latest_ns = mbuf.timestamp_ns
+            # Flow sampling: the symmetric RSS hash selects whole flows
+            # (both directions share the hash), so a sampled-out flow
+            # costs the NIC's one decode but never any tracker state.
+            if modulus > 1 and mbuf.rss_hash % modulus:
+                sampled_out += 1
+            else:
+                parsed = mbuf.decoded
+                if isinstance(parsed, ParseError):
                     if self.pipeline_stats is not None:
-                        self.pipeline_stats.record_parse_error(exc.reason)
-                    return
-            with tracer.span("worker.track", queue=self.queue_id):
-                self.tracker.process(parsed, rss_hash=mbuf.rss_hash)
-        for observer in self.observers:
-            observer(parsed)
+                        self.pipeline_stats.record_parse_error(parsed.reason)
+                else:
+                    process(parsed, mbuf.rss_hash)
+                    for observer in observers:
+                        observer(parsed)
+        self.nic.pool.free_bulk(mbufs)
+        self.packets_processed += len(mbufs)
+        self.packets_sampled_out += sampled_out
+        self._latest_ns = latest_ns
 
     @property
     def stats(self):
@@ -134,7 +124,6 @@ class QueueWorker:
             "packets_processed": self.packets_processed,
             "packets_sampled_out": self.packets_sampled_out,
             "latest_ns": self._latest_ns,
-            "polls": self._polls,
             "tracker": self.tracker.state_dict(),
         }
 
@@ -148,5 +137,4 @@ class QueueWorker:
         self.packets_processed = int(state["packets_processed"])
         self.packets_sampled_out = int(state["packets_sampled_out"])
         self._latest_ns = int(state["latest_ns"])
-        self._polls = int(state["polls"])
         self.tracker.load_state(state["tracker"])

@@ -26,9 +26,16 @@ class PortStats:
 
     def record_rx(self, queue_id: int, frame_len: int) -> None:
         """Account one successfully queued frame."""
-        self.ipackets += 1
-        self.ibytes += frame_len
-        self.q_ipackets[queue_id] = self.q_ipackets.get(queue_id, 0) + 1
+        self.record_rx_burst({queue_id: 1}, frame_len)
+
+    def record_rx_burst(self, queue_frames: Dict[int, int], frame_bytes: int) -> None:
+        """Account a burst's queued frames: per-queue counts (in the
+        order each queue first received one) and their total bytes."""
+        q_ipackets = self.q_ipackets
+        for queue_id, frames in queue_frames.items():
+            self.ipackets += frames
+            q_ipackets[queue_id] = q_ipackets.get(queue_id, 0) + frames
+        self.ibytes += frame_bytes
 
     def record_miss(self) -> None:
         """Account one frame dropped before reaching a queue."""

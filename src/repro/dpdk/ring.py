@@ -60,15 +60,29 @@ class Ring(Generic[T]):
         Raises:
             RingFull: at capacity; the drop is counted.
         """
-        if len(self._items) >= self.capacity:
+        if not self.try_enqueue(item):
             self.drops += 1
             raise RingFull(self.name)
-        self._items.append(item)
+
+    def try_enqueue(self, item: T) -> bool:
+        """Add one item if there is room; False (nothing counted) if not.
+
+        The producer decides what a full ring costs — the NIC, for one,
+        may displace a queued frame and retry.
+        """
+        items = self._items
+        depth = len(items)
+        if depth >= self.capacity:
+            return False
+        items.append(item)
         self.enqueued += 1
-        if len(self._items) > self.high_watermark:
-            self.high_watermark = len(self._items)
-        if len(self._items) > self._peak:
-            self._peak = len(self._items)
+        depth += 1
+        # The batch peak never exceeds the all-time high watermark.
+        if depth > self._peak:
+            self._peak = depth
+            if depth > self.high_watermark:
+                self.high_watermark = depth
+        return True
 
     def enqueue_burst(self, items: Iterable[T]) -> int:
         """Add as many items as fit; returns how many were accepted.

@@ -59,8 +59,8 @@ class Telemetry:
             the first pipeline this telemetry is attached to binds its
             own :class:`~repro.dpdk.clock.VirtualClock`.
         max_traces: tracer ring-buffer capacity.
-        detail_sample: trace packet-level spans on every Nth worker
-            poll (1 = every poll, 0 = burst-level spans only). See
+        detail_sample: trace packet-level spans on every Nth NIC
+            burst (1 = every burst, 0 = burst-level spans only). See
             :class:`~repro.obs.trace.Tracer`.
     """
 

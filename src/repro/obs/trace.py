@@ -70,7 +70,7 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.finish()
+        self._tracer._finish(self)
 
     def walk(self):
         """Yield this span and all descendants, depth-first."""
@@ -95,11 +95,11 @@ class Tracer:
         registry: when given, span durations also feed the
             ``ruru_stage_duration_ns`` histogram, labelled by stage.
         detail_sample: per-packet span sampling — instrumented loops
-            (the worker's parse/track spans) emit detailed child spans
-            on every Nth poll only, keeping hot-path overhead inside
-            the ~5% budget. 1 traces every poll in detail, 0 disables
-            per-packet spans entirely. Sampling is by deterministic
-            poll count, so traces stay reproducible.
+            (the NIC's per-frame ``nic.decode`` spans) emit detailed
+            child spans on every Nth burst only, keeping hot-path
+            overhead inside the ~5% budget. 1 traces every burst in
+            detail, 0 disables per-packet spans entirely. Sampling is by
+            deterministic burst count, so traces stay reproducible.
     """
 
     def __init__(

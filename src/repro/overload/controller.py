@@ -119,10 +119,6 @@ class OverloadController:
         # Deterministic 1-in-N admission cursors.
         self._payload_seq = 0
         self._other_seq = 0
-        # Set when the frame most recently rejected by receive() was
-        # shed by policy (vs. a genuine capacity drop); the pipeline
-        # consumes it to split packets_shed from nic_drops.
-        self._nic_shed_flag = False
 
     # -- sensing -----------------------------------------------------------
 
@@ -229,7 +225,6 @@ class OverloadController:
                     return True, klass, data
 
         self.record_shed(klass, "nic")
-        self._nic_shed_flag = True
         return False, klass, data
 
     def is_displaceable(self, mbuf) -> bool:
@@ -254,13 +249,6 @@ class OverloadController:
     def record_ring_drop(self, klass: Optional[str]) -> None:
         """An admitted frame found its ring full and nothing to evict."""
         self.record_shed(klass if klass is not None else OTHER, "ring")
-        self._nic_shed_flag = True
-
-    def take_nic_shed(self) -> bool:
-        """Consume the policy-shed flag for the last rejected frame."""
-        flag = self._nic_shed_flag
-        self._nic_shed_flag = False
-        return flag
 
     # -- shed ledger -------------------------------------------------------
 
@@ -343,7 +331,6 @@ class OverloadController:
             )
             for t in state["transitions"]
         ]
-        self._nic_shed_flag = False
 
     def summary(self) -> Dict[str, object]:
         """Flat snapshot for reports and scenario metrics."""

@@ -132,13 +132,14 @@ class RuruRuntime:
         so analytics and the frontend progress while rx queues still
         hold packets, exactly as separate cores would.
         """
-        batch = 0
+        batch = []
         for packet in packets:
-            self.pipeline.offer(packet)
-            batch += 1
-            if batch >= feed_batch:
+            batch.append(packet)
+            if len(batch) >= feed_batch:
+                self.pipeline.offer_burst(batch)
                 self.eal.step_all()
-                batch = 0
+                batch = []
+        self.pipeline.offer_burst(batch)
         # Drain: keep scheduling until nothing moves anywhere.
         self.eal.run_until_idle()
         self.service.finish()

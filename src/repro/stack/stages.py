@@ -47,7 +47,7 @@ class OverloadStage(Stage):
 
 
 class NicStage(Stage):
-    """Frame admission: offer each packet of the batch to the NIC."""
+    """Frame admission: offer the whole batch to the NIC as one burst."""
 
     def __init__(self, pipeline):
         super().__init__(get_spec("nic"))
@@ -55,8 +55,7 @@ class NicStage(Stage):
 
     def process(self, ctx: StageContext) -> None:
         ctx.reached("nic.rx")
-        for packet in ctx.batch:
-            self.pipeline.offer(packet)
+        self.pipeline.offer_burst(ctx.batch)
 
     def quiesce(self) -> None:
         self.pipeline.quiesce()

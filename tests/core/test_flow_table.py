@@ -1,4 +1,7 @@
-"""Flow table tests: canonical keys, eviction, expiry."""
+"""Flow table tests: canonical keys, eviction, expiry, checkpoints."""
+
+import dataclasses
+import json
 
 import pytest
 
@@ -211,3 +214,41 @@ class TestSynFloodPressure:
         assert first not in table
         table.insert(first, _entry(orig_ip=1, syn_ns=777))
         assert table.get(first).syn_ns == 777
+
+
+class TestCheckpointRows:
+    @staticmethod
+    def _table():
+        table = HandshakeTable(max_entries=8, queue_id=3)
+        table.insert(canonical_flow_key(1, 10, 2, 20), _entry(syn_ns=5))
+        answered = FlowEntry(
+            state=FlowState.SYNACK_SEEN, orig_ip=(1 << 127) + 9, orig_port=443,
+            resp_ip=7, resp_port=8080, is_ipv6=True, syn_ns=11, syn_seq=(1 << 32) - 1,
+            rss_hash=0xDEADBEEF, synack_ns=19, synack_seq=42, syn_retransmits=2,
+            synack_retransmits=1,
+        )
+        table.insert(canonical_flow_key(7, 8080, (1 << 127) + 9, 443, True), answered)
+        table.remove(canonical_flow_key(1, 10, 2, 20), reason="aborted")
+        table.insert(canonical_flow_key(3, 30, 4, 40), _entry(syn_ns=6, orig_ip=3, orig_port=30))
+        return table
+
+    def test_rows_serialize_exactly_as_asdict_rows(self):
+        table = self._table()
+        reference = [
+            {
+                "key": list(key),
+                "state": entry.state.value,
+                **{k: v for k, v in dataclasses.asdict(entry).items() if k != "state"},
+            }
+            for key, entry in table.entries()
+        ]
+        rows = table.state_dict()["entries"]
+        assert json.dumps(rows) == json.dumps(reference)
+
+    def test_load_state_round_trip(self):
+        table = self._table()
+        state = json.loads(json.dumps(table.state_dict()))
+        restored = HandshakeTable()
+        restored.load_state(state)
+        assert list(restored.entries()) == list(table.entries())
+        assert restored.state_dict() == table.state_dict()

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RuruPipeline
+from repro.net.packet import Packet
+from repro.net.parser import PacketParser
 from repro.net.pcap import PcapWriter
+from repro.overload import OverloadController
+from repro.overload.controller import LEVEL_HANDSHAKE_ONLY
 from tests.conftest import make_handshake
 
 MS = 1_000_000
@@ -296,3 +300,44 @@ class TestShutdownFlagTrailingBatch:
         )
         stats = pipeline.run_packets(packets, shutdown_flag=lambda: False)
         assert stats.packets_offered == len(packets)
+
+
+class TestOneDecodePerFrame:
+    """The NIC decodes each frame once; workers never parse."""
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        calls = []
+        parse = PacketParser.parse
+
+        def counted(self, data, timestamp_ns):
+            calls.append(data)
+            return parse(self, data, timestamp_ns)
+
+        monkeypatch.setattr(PacketParser, "parse", counted)
+        return calls
+
+    def test_parse_runs_once_per_queued_frame(self, small_workload, monkeypatch):
+        _, packets = small_workload
+        junk = [Packet(data=b"\x00" * 40, timestamp_ns=p.timestamp_ns) for p in packets[:25]]
+        calls = self._count_parses(monkeypatch)
+        pipeline = RuruPipeline(config=PipelineConfig(num_queues=4))
+        stats = pipeline.run_packets(packets + junk)
+        assert stats.nic_drops == 0
+        assert len(calls) == stats.packets_queued == len(packets) + len(junk)
+        assert stats.packets_processed == stats.packets_queued
+        # Rejected decodes are counted once, by the worker that dequeues them.
+        assert stats.parse_errors == len(junk)
+
+    def test_frames_shed_at_the_nic_are_never_parsed(self, small_workload, monkeypatch):
+        _, packets = small_workload
+        calls = self._count_parses(monkeypatch)
+        controller = OverloadController()
+        controller.level = LEVEL_HANDSHAKE_ONLY  # no sensors: the level holds
+        pipeline = RuruPipeline(
+            config=PipelineConfig(num_queues=4), admission=controller
+        )
+        stats = pipeline.run_packets(packets)
+        assert stats.packets_shed > 0
+        assert len(calls) == stats.packets_queued
+        assert stats.packets_queued + stats.packets_shed == len(packets)

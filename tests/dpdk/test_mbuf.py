@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dpdk.mbuf import Mbuf, MbufPool, MbufPoolExhausted
+from repro.net.parser import ParseError
 
 
 class TestMbufPool:
@@ -65,3 +66,28 @@ class TestMbufPool:
 
     def test_poolless_mbuf_free_is_noop(self):
         Mbuf(data=b"loose").free()
+
+    def test_free_drops_the_carried_decode(self):
+        pool = MbufPool(size=1)
+        mbuf = pool.alloc(b"frame")
+        mbuf.decoded = ParseError("not-ip")
+        mbuf.free()
+        assert mbuf.decoded is None
+
+    def test_free_bulk_returns_a_burst(self):
+        pool = MbufPool(size=4)
+        burst = [pool.alloc(b"p") for _ in range(3)]
+        burst[0].decoded = ParseError("not-tcp")
+        pool.free_bulk(burst)
+        assert pool.available == 4 and pool.free_count == 3
+        assert all(m.data == b"" and m.decoded is None for m in burst)
+
+    def test_free_bulk_rejects_foreign_and_overflow(self):
+        pool_a, pool_b = MbufPool(size=2), MbufPool(size=2)
+        with pytest.raises(ValueError):
+            pool_b.free_bulk([pool_a.alloc(b"x")])
+        with pytest.raises(ValueError):
+            pool_a.free_bulk([pool_a.alloc(b"y")] * 3)
+
+    def test_slots_keep_mbufs_dict_free(self):
+        assert not hasattr(Mbuf(), "__dict__")

@@ -94,9 +94,8 @@ class TestDeterministicTraces:
         assert {
             "nic.receive",
             "pipeline.drain",
+            "nic.decode",
             "worker.poll",
-            "worker.parse",
-            "worker.track",
             "flow_table.sweep",
         } <= stages
 

@@ -166,13 +166,6 @@ class TestAdmission:
         assert not controller.admit_frame(DATA)[0]
         assert not controller.admit_frame(ARP)[0]
 
-    def test_shed_flag_consumed_once(self):
-        controller = OverloadController()
-        controller.level = LEVEL_HEADERS_ONLY
-        controller.admit_frame(DATA)
-        assert controller.take_nic_shed() is True
-        assert controller.take_nic_shed() is False
-
     def test_shed_ratio_excludes_mq_records(self):
         controller = OverloadController()
         controller.level = LEVEL_HANDSHAKE_ONLY

@@ -69,7 +69,7 @@ class TestDisplacement:
         assert nic.stats.imissed == 1
         # A ring-full loss of an admitted frame is still attributed
         # shed, so the pipeline splits it out of nic_drops.
-        assert controller.take_nic_shed() is True
+        assert nic.shed == 1
 
     def test_handshake_drops_when_no_victim(self):
         controller = OverloadController()
@@ -92,8 +92,7 @@ class TestPolicyShed:
         assert nic.stats.imissed == 1
         assert nic.stats.ipackets == 1
         assert controller.shed_total(klass=PAYLOAD, stage="nic") == 1
-        assert controller.take_nic_shed() is True
-        assert controller.take_nic_shed() is False
+        assert nic.shed == 1
         # Nothing was allocated for the shed frame.
         assert nic.pool.in_use == 1
 
